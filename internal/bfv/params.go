@@ -19,6 +19,7 @@ package bfv
 
 import (
 	"fmt"
+	"math/bits"
 
 	"ciphermatch/internal/ring"
 )
@@ -134,9 +135,11 @@ func (p Params) Delta() uint64 { return p.Q / p.T }
 
 // QBytes returns the number of bytes used to store one ciphertext
 // coefficient (the paper's footprint accounting uses exactly ceil(log2 q / 8)).
+// ceil(log2 q) is bits.Len64(q-1) for every valid modulus (q >= 2); it is
+// computed directly rather than through a ring.Ring, because the wire
+// codec asks for it on every encode and decode.
 func (p Params) QBytes() int {
-	r := ring.MustNew(p.N, p.Q)
-	return int((r.LogQ() + 7) / 8)
+	return (bits.Len64(p.Q-1) + 7) / 8
 }
 
 // TBytes returns the number of bytes per plaintext coefficient.

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"ciphermatch/internal/bfv"
@@ -363,6 +364,22 @@ func gcd(a, b int) int {
 	return a
 }
 
+// modInverse returns the inverse of a modulo m (extended Euclid); a and
+// m must be coprime. Modulo 1 every class is 0, so m = 1 gives 0.
+func modInverse(a, m int) int {
+	t, nt := 0, 1
+	r, nr := m, a%m
+	for nr != 0 {
+		q := r / nr
+		t, nt = nt, t-q*nt
+		r, nr = nr, r-q*nr
+	}
+	if t < 0 {
+		t += m
+	}
+	return t
+}
+
 // PrepareQuery builds the encrypted query for a database of dbBitLen bits.
 // queryBits must be at least 1 and at most 8*len(query).
 func (c *Client) PrepareQuery(query []byte, queryBits, dbBitLen int) (*Query, error) {
@@ -597,39 +614,55 @@ const CandidateWireBytes = 4
 // bits: candidates agree with the query on every full window; up to 15 bits
 // on each side are unverified.
 //
-// The scan is word-level over the packed bitmaps (Bitset.AllSet checks 64
-// windows per comparison with an early exit on the first miss), and any
-// residue whose bitmap has no set bit at all is dropped up front — when
-// every residue is empty (the common case for a rare pattern) the offset
-// loop never runs at all.
+// Generation is driven by set bits, not by offsets. An offset o can match
+// only if its first full window w0 = ⌈o/16⌉ is a hit, and window w is the
+// first full window of exactly the offsets [16w−15, 16w]. The aligned
+// offsets of residue res form one progression o0 + k·L with
+// L = lcm(y, align), so each residue's walk alternates Bitset.NextSet with
+// a jump along that progression and checks AllSet only where a set bit and
+// a progression offset meet. Each step either checks an offset whose first
+// window is a hit (at most 16 per set bit) or jumps past a set bit whose
+// windows the progression misses, so the cost is O(words + hits) on sparse
+// bitmaps and at most one check per aligned offset on dense ones.
+// Residues own disjoint offsets, so the union needs only a sort.
 func Candidates(hits HitBitmaps, dbBits, yBits, alignBits int) []int {
-	// Residue-indexed bitmap table: one modulo + array load per offset
-	// instead of per-offset map lookups; empty bitmaps stay nil.
-	bmAt := make([]*Bitset, yBits)
-	live := 0
-	for res, bm := range hits {
-		if res >= 0 && res < yBits && !bm.None() {
-			bmAt[res] = bm
-			live++
-		}
-	}
-	if live == 0 {
+	if yBits < 1 || alignBits < 1 {
 		return nil
 	}
+	g := gcd(yBits, alignBits)
+	period := yBits / g // residues reachable from aligned offsets: multiples of g
+	step := period * alignBits
+	inv := modInverse(alignBits/g, period)
+	last := dbBits - yBits // the greatest offset whose occurrence fits
 	var out []int
-	for o := 0; o+yBits <= dbBits; o += alignBits {
-		bm := bmAt[o%yBits]
-		if bm == nil {
+	for res, bm := range hits {
+		if bm == nil || res < 0 || res >= yBits || res%g != 0 {
 			continue
 		}
-		w0, w1 := FullWindows(o, yBits)
-		if w1 == w0 {
-			continue // undetectable at this offset
-		}
-		if bm.AllSet(w0, w1) {
-			out = append(out, o)
+		// The smallest aligned offset ≡ res (mod y): k·align with
+		// k·(align/g) ≡ res/g (mod y/g).
+		o := res / g * inv % period * alignBits
+		for o <= last {
+			w := bm.NextSet((o + SegmentBits - 1) / SegmentBits)
+			if w < 0 {
+				break
+			}
+			if lo := w*SegmentBits - (SegmentBits - 1); o < lo {
+				o += (lo - o + step - 1) / step * step
+				if o > w*SegmentBits {
+					continue // the progression skips window w
+				}
+				if o > last {
+					break
+				}
+			}
+			if w0, w1 := FullWindows(o, yBits); w1 > w0 && bm.AllSet(w0, w1) {
+				out = append(out, o)
+			}
+			o += step
 		}
 	}
+	slices.Sort(out)
 	return out
 }
 

@@ -11,6 +11,21 @@ import (
 // Shared error constructors (used by every engine).
 var errNoTokens = errors.New("core: search requires match tokens (ModeSeededMatch)")
 
+// ErrInvalidAlign rejects a query whose occurrence alignment is below
+// one bit. AlignBits arrives off the wire unchecked, and no offset set
+// exists at alignment 0 or below, so every engine refuses such a query
+// before any arena work.
+var ErrInvalidAlign = errors.New("core: query alignment must be at least 1 bit")
+
+// CheckAlign returns an ErrInvalidAlign-wrapping error when q's
+// alignment is below one bit.
+func CheckAlign(q *Query) error {
+	if q.AlignBits < 1 {
+		return fmt.Errorf("%w, got %d", ErrInvalidAlign, q.AlignBits)
+	}
+	return nil
+}
+
 func errMissingPhase(psi int) error {
 	return fmt.Errorf("core: query missing pattern phase %d", psi)
 }

@@ -140,6 +140,28 @@ func statDelta(before, after []metrics.KV, name string) int64 {
 	return a - b
 }
 
+// stageFromHistogram summarises one stage from the server's
+// stage_latency_ns histogram snapshots taken around the storm.
+func stageFromHistogram(s trace.Stage, before, after []metrics.KV) (StormStageStats, bool) {
+	field := func(f string) string { return "stage_latency_ns_" + f + `{stage="` + s.String() + `"}` }
+	count := statDelta(before, after, field("count"))
+	if count <= 0 {
+		return StormStageStats{}, false
+	}
+	quantile := func(f string) float64 {
+		v, _ := metrics.Lookup(after, field(f))
+		return float64(v) / 1e6
+	}
+	return StormStageStats{
+		Stage:  s.String(),
+		Count:  count,
+		MeanMs: float64(statDelta(before, after, field("sum"))) / float64(count) / 1e6,
+		P50Ms:  quantile("p50"),
+		P95Ms:  quantile("p95"),
+		P99Ms:  quantile("p99"),
+	}, true
+}
+
 // RunStorm executes one closed-loop storm per StormConfig and returns
 // its report. The databases in cfg.Targets must already be uploaded.
 func RunStorm(cfg StormConfig) (*StormReport, error) {
@@ -341,6 +363,13 @@ func (rep *StormReport) addTraceBreakdown(cfg StormConfig, before, after []metri
 	for s := range stageH {
 		h := &stageH[s]
 		if h.Count() == 0 {
+			// A stage no trace carries — the reply write, timed after
+			// its trace is published — comes from the server's stage
+			// histogram: count and mean over the storm, quantiles over
+			// the server's lifetime.
+			if st, ok := stageFromHistogram(trace.Stage(s), before, after); ok {
+				rep.Stages = append(rep.Stages, st)
+			}
 			continue
 		}
 		rep.Stages = append(rep.Stages, StormStageStats{

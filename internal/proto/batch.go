@@ -319,13 +319,13 @@ func decodeFactoredBatch(b *buffer, p bfv.Params) (*core.BatchQuery, error) {
 			return nil, err
 		}
 	}
-	npoly, err := b.count(8)
+	npoly, err := b.count(polyWireBytes(p.N, qb)) // carved up front: bound per poly
 	if err != nil {
 		return nil, err
 	}
-	polyPool := make([]ring.Poly, npoly)
-	for i := range polyPool {
-		if polyPool[i], err = b.poly(qb, p.N); err != nil {
+	polyPool := carvePolys(npoly, p.N)
+	for _, poly := range polyPool {
+		if err := b.polyInto(poly, qb); err != nil {
 			return nil, err
 		}
 	}

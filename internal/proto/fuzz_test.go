@@ -85,6 +85,10 @@ func FuzzDecodeQuery(f *testing.F) {
 	p := bfv.ParamsToy()
 	addWireSeeds(f, EncodeQuery(fuzzSeedQuery(f, p), p))
 	addWireSeeds(f, EncodeQuery(fuzzSeedLegacyQuery(f, p), p))
+	// Forged DBTok / RHS counts that a per-word bound would accept: the
+	// one-allocation decode must refuse them before allocating.
+	f.Add(forgedFactoredQuery(64, 512, false))
+	f.Add(forgedFactoredQuery(64, 512, true))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		q, err := DecodeQuery(data, p)
 		if err != nil {

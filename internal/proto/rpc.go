@@ -38,6 +38,11 @@ type Server struct {
 	readTimeout  time.Duration
 	writeTimeout time.Duration
 
+	// afterQueryWrite, when set (tests only, before Serve), runs after a
+	// MsgQuery reply is written: it holds the handler where a late
+	// telemetry publish would still be pending.
+	afterQueryWrite func()
+
 	connMu sync.Mutex
 	conns  map[net.Conn]struct{}
 	wg     sync.WaitGroup // one count per in-flight connection
@@ -257,9 +262,11 @@ func (s *Server) tenantHandlesFor(cache map[string]tenantHandles, name string) t
 //
 // Every MsgQuery gets a lifecycle trace: the Trace value is owned by
 // this handler and reused across requests (zero allocations per
-// record), stamped here for the read/encode-adjacent/write boundaries
-// and inside searchOne/the coalescer for the pipeline stages, then
-// sealed into the recorder's rings after the reply hits the socket.
+// record), stamped here for the read boundary and inside searchOne/the
+// coalescer for the pipeline stages, then sealed into the recorder's
+// rings — with the tenant counters — before the reply is written, so
+// telemetry is read-your-writes. The reply write itself is timed into
+// the write-stage histogram only.
 func (s *Server) handleConn(conn net.Conn) {
 	defer s.untrack(conn)
 	defer conn.Close()
@@ -287,15 +294,11 @@ func (s *Server) handleConn(conn net.Conn) {
 			qt = &t
 		}
 		reply, body := s.answer(msgType, payload, qt)
-		if s.writeTimeout > 0 {
-			conn.SetWriteDeadline(time.Now().Add(s.writeTimeout)) //nolint:errcheck // fails only with the conn
-		}
-		writeStart := time.Now()
-		werr := WriteMessage(conn, reply, body)
 		if traced {
-			end := time.Now()
-			t.Stamp(trace.StageWrite, int64(end.Sub(writeStart)))
-			t.TotalNS = int64(end.Sub(tr.first))
+			// Publish before the reply leaves: a client holding its
+			// answer must already see its trace and counters. The trace
+			// (and TotalNS) therefore ends where the write begins.
+			t.TotalNS = int64(time.Since(tr.first))
 			var h tenantHandles
 			if t.Tenant != "" {
 				h = s.tenantHandlesFor(tenants, t.Tenant)
@@ -311,6 +314,19 @@ func (s *Server) handleConn(conn net.Conn) {
 				h.errors.Inc()
 			}
 			s.rec.Finish(&t, h.latency)
+		}
+		if s.writeTimeout > 0 {
+			conn.SetWriteDeadline(time.Now().Add(s.writeTimeout)) //nolint:errcheck // fails only with the conn
+		}
+		writeStart := time.Now()
+		werr := WriteMessage(conn, reply, body)
+		if traced {
+			// The write stage lands in its stage histogram only; the
+			// trace it belongs to is already published.
+			s.rec.ObserveStage(trace.StageWrite, int64(time.Since(writeStart)))
+			if s.afterQueryWrite != nil {
+				s.afterQueryWrite()
+			}
 		}
 		if werr != nil {
 			return

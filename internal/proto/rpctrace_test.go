@@ -1,6 +1,7 @@
 package proto
 
 import (
+	"sync"
 	"testing"
 	"time"
 
@@ -211,4 +212,58 @@ func TestTraceDumpLimitsAndStats(t *testing.T) {
 	if _, ok := metrics.Lookup(kvs, `stage_latency_ns_count{stage="write"}`); !ok {
 		t.Fatal("labeled stage families missing from the flat stats snapshot")
 	}
+}
+
+// TestTelemetryReadYourWrites pins the publish order of the connection
+// handler: once a client holds its reply, the request's trace and its
+// tenant counters are visible. A hook holds the handler right after the
+// reply write until the checks are done, so a handler that published
+// after writing would fail here every time, not only under load.
+func TestTelemetryReadYourWrites(t *testing.T) {
+	p := bfv.ParamsToy()
+	fx := newCoalesceFixture(t, p, "ryw")
+	srv := NewServerWithSpec(p, core.EngineSpec{})
+	defer srv.Close()
+	release := make(chan struct{})
+	var releaseOnce sync.Once
+	unblock := func() { releaseOnce.Do(func() { close(release) }) }
+	defer unblock()
+	srv.afterQueryWrite = func() { <-release }
+	addr := startServer(t, srv)
+
+	conn, err := Dial(addr, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := conn.UploadDB(fx.name, core.EngineSpec{}, fx.db); err != nil {
+		t.Fatal(err)
+	}
+	conn.EnableTracing(uint64(0xCD) << 56)
+	if _, err := conn.Search(fx.name, fx.queries[0]); err != nil {
+		t.Fatal(err)
+	}
+
+	// The querying connection's handler is parked in the hook; observe
+	// from a second connection and from the registry.
+	ctrl, err := Dial(addr, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ctrl.Close()
+	dump, err := ctrl.TraceDump(0, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(dump) != 1 || dump[0].Flags&trace.FlagClientID == 0 || dump[0].Tenant != fx.name {
+		t.Fatalf("trace not published before the reply: %+v", dump)
+	}
+	kvs := srv.Metrics().Snapshot()
+	if v := statValue(t, kvs, `tenant_queries_total{db="`+fx.name+`"}`); v != 1 {
+		t.Fatalf("tenant_queries_total = %d before the handler resumed, want 1", v)
+	}
+	if v := statValue(t, kvs, `tenant_latency_ns_count{db="`+fx.name+`"}`); v != 1 {
+		t.Fatalf("tenant latency samples = %d before the handler resumed, want 1", v)
+	}
+	unblock()
 }

@@ -16,7 +16,7 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
+	"slices"
 
 	"ciphermatch/internal/bfv"
 	"ciphermatch/internal/core"
@@ -142,17 +142,13 @@ type buffer struct {
 }
 
 func (b *buffer) putUint32(v uint32) {
-	var tmp [4]byte
-	binary.LittleEndian.PutUint32(tmp[:], v)
-	b.data = append(b.data, tmp[:]...)
+	b.data = binary.LittleEndian.AppendUint32(b.data, v)
 }
 
 func (b *buffer) putInt(v int) { b.putUint32(uint32(v)) }
 
 func (b *buffer) putUint64(v uint64) {
-	var tmp [8]byte
-	binary.LittleEndian.PutUint64(tmp[:], v)
-	b.data = append(b.data, tmp[:]...)
+	b.data = binary.LittleEndian.AppendUint64(b.data, v)
 }
 
 func (b *buffer) uint64() (uint64, error) {
@@ -213,15 +209,31 @@ func (b *buffer) count(minElemBytes int) (int, error) {
 	return n, nil
 }
 
-// putPoly appends a polynomial as qBytes-wide little-endian coefficients.
+// putPoly appends a polynomial as qBytes-wide little-endian coefficients
+// (the low qBytes bytes of each coefficient).
 func (b *buffer) putPoly(p ring.Poly, qBytes int) {
 	b.putInt(len(p))
-	var tmp [8]byte
-	for _, c := range p {
-		binary.LittleEndian.PutUint64(tmp[:], c)
-		b.data = append(b.data, tmp[:qBytes]...)
+	switch qBytes {
+	case 4:
+		for _, c := range p {
+			b.data = binary.LittleEndian.AppendUint32(b.data, uint32(c))
+		}
+	case 8:
+		for _, c := range p {
+			b.data = binary.LittleEndian.AppendUint64(b.data, c)
+		}
+	default:
+		for _, c := range p {
+			for k := 0; k < qBytes; k++ {
+				b.data = append(b.data, byte(c>>(8*k)))
+			}
+		}
 	}
 }
+
+// polyWireBytes is the encoded size of a degree-n polynomial: its length
+// word plus n qBytes-wide coefficients.
+func polyWireBytes(n, qBytes int) int { return 4 + n*qBytes }
 
 // poly decodes a polynomial and enforces that it has exactly degree
 // coefficients: every polynomial on this wire (chunk and pattern
@@ -238,7 +250,8 @@ func (b *buffer) poly(qBytes, degree int) (ring.Poly, error) {
 }
 
 // polyInto decodes a polynomial into dst, whose length fixes the
-// expected coefficient count.
+// expected coefficient count. The 4- and 8-byte widths (every preset
+// modulus) read coefficients straight out of the payload.
 func (b *buffer) polyInto(dst ring.Poly, qBytes int) error {
 	n, err := b.count(qBytes)
 	if err != nil {
@@ -251,14 +264,45 @@ func (b *buffer) polyInto(dst ring.Poly, qBytes int) error {
 	if b.off+need > len(b.data) {
 		return errShortPayload
 	}
-	var tmp [8]byte
-	for i := 0; i < n; i++ {
-		clear(tmp[:])
-		copy(tmp[:qBytes], b.data[b.off:b.off+qBytes])
-		dst[i] = binary.LittleEndian.Uint64(tmp[:])
-		b.off += qBytes
+	src := b.data[b.off : b.off+need]
+	switch qBytes {
+	case 4:
+		for i := range dst {
+			dst[i] = uint64(binary.LittleEndian.Uint32(src[4*i:]))
+		}
+	case 8:
+		for i := range dst {
+			dst[i] = binary.LittleEndian.Uint64(src[8*i:])
+		}
+	default:
+		for i := range dst {
+			var c uint64
+			for k := qBytes - 1; k >= 0; k-- {
+				c = c<<8 | uint64(src[i*qBytes+k])
+			}
+			dst[i] = c
+		}
 	}
+	b.off += need
 	return nil
+}
+
+// carvePolys returns count degree-length polynomials carved from one
+// backing array, the way core.AdoptArena carves chunks: one allocation
+// for the whole section instead of one per polynomial. Each poly is
+// capacity-limited, so an append on one can never run into the next.
+// Because the whole section is allocated before any of it is read,
+// callers must bound count by the full encoded size of an element
+// (polyWireBytes plus any per-element words), never by its length word
+// alone: a forged count in a short payload must not buy an allocation
+// N× the payload's size.
+func carvePolys(count, degree int) []ring.Poly {
+	backing := make([]uint64, count*degree)
+	out := make([]ring.Poly, count)
+	for i := range out {
+		out[i] = backing[i*degree : (i+1)*degree : (i+1)*degree]
+	}
+	return out
 }
 
 func (b *buffer) putCiphertext(ct *bfv.Ciphertext, qBytes int) {
@@ -350,12 +394,18 @@ func DecodeDB(data []byte, p bfv.Params) (*core.EncryptedDB, error) {
 // sortedKeys returns a map's integer keys in ascending order, so map
 // iteration order never leaks into wire bytes.
 func sortedKeys[V any](m map[int]V) []int {
-	keys := make([]int, 0, len(m))
+	return appendSortedKeys(make([]int, 0, len(m)), m)
+}
+
+// appendSortedKeys is sortedKeys into caller-provided storage: the query
+// encoder passes a stack array, so a query with few phases sorts its
+// keys without a heap allocation.
+func appendSortedKeys[V any](dst []int, m map[int]V) []int {
 	for k := range m {
-		keys = append(keys, k)
+		dst = append(dst, k)
 	}
-	sort.Ints(keys)
-	return keys
+	slices.Sort(dst)
+	return dst
 }
 
 // factoredSentinel marks the versioned factored encodings of MsgQuery
@@ -386,8 +436,46 @@ const factoredWireVersion = 1
 // for byte.
 func EncodeQuery(q *core.Query, p bfv.Params) []byte {
 	qb := p.QBytes()
+	b := buffer{data: make([]byte, 0, queryWireBytes(q, qb))}
+	b.putQuery(q, qb)
+	return b.data
+}
+
+// queryWireBytes is the exact length of q's EncodeQuery encoding, so
+// encoders can size their output once.
+func queryWireBytes(q *core.Query, qb int) int {
+	n := 4*5 + 4*len(q.Residues) // metadata words + residues
 	if q.Factored() {
-		var b buffer
+		n += 4 + 4 + 4 // sentinel, version, plane count
+		for _, tok := range q.DBTok {
+			n += polyWireBytes(len(tok), qb)
+		}
+		n += 4
+		for _, rhs := range q.RHS {
+			n += 4 + polyWireBytes(len(rhs), qb)
+		}
+		return n
+	}
+	n += 4
+	for _, ct := range q.Patterns {
+		n += 4 + 4
+		for _, c := range ct.C {
+			n += polyWireBytes(len(c), qb)
+		}
+	}
+	n += 4
+	for _, toks := range q.Tokens {
+		n += 4 + 4
+		for _, tok := range toks {
+			n += polyWireBytes(len(tok), qb)
+		}
+	}
+	return n
+}
+
+// putQuery appends q's EncodeQuery encoding.
+func (b *buffer) putQuery(q *core.Query, qb int) {
+	if q.Factored() {
 		b.putUint32(factoredSentinel)
 		b.putInt(factoredWireVersion)
 		b.putInt(q.YBits)
@@ -403,13 +491,13 @@ func EncodeQuery(q *core.Query, p bfv.Params) []byte {
 			b.putPoly(tok, qb)
 		}
 		b.putInt(len(q.RHS))
-		for _, psi := range sortedKeys(q.RHS) {
+		var keys [64]int
+		for _, psi := range appendSortedKeys(keys[:0], q.RHS) {
 			b.putInt(psi)
 			b.putPoly(q.RHS[psi], qb)
 		}
-		return b.data
+		return
 	}
-	var b buffer
 	b.putInt(q.YBits)
 	b.putInt(q.AlignBits)
 	b.putInt(q.DBBitLen)
@@ -432,16 +520,20 @@ func EncodeQuery(q *core.Query, p bfv.Params) []byte {
 			b.putPoly(tok, qb)
 		}
 	}
-	return b.data
 }
 
 // decodeQueryHeader reads the metadata fields (after YBits) shared by
 // every query encoding — single and batch-member, legacy and factored.
+// AlignBits is read back as the signed 32-bit value the encoder wrote,
+// so a negative alignment reaches the engines' validation as negative
+// (and is rejected there with core.ErrInvalidAlign) instead of turning
+// into a huge positive stride.
 func decodeQueryHeader(b *buffer, q *core.Query) error {
-	var err error
-	if q.AlignBits, err = b.int(); err != nil {
+	align, err := b.uint32()
+	if err != nil {
 		return err
 	}
+	q.AlignBits = int(int32(align))
 	if q.DBBitLen, err = b.int(); err != nil {
 		return err
 	}
@@ -576,32 +668,36 @@ func decodeFactoredQuery(b *buffer, p bfv.Params) (*core.Query, error) {
 		return nil, err
 	}
 	qb := p.QBytes()
-	ntok, err := b.count(8) // poly length word + at least one coefficient
+	// Both sections are carved from one backing array each, allocated
+	// before they are read, so their counts are bounded at the full
+	// encoded size of an element (see carvePolys).
+	ntok, err := b.count(polyWireBytes(p.N, qb))
 	if err != nil {
 		return nil, err
 	}
 	if ntok != q.NumChunks {
 		return nil, fmt.Errorf("proto: factored query DBTok plane has %d chunks, header says %d", ntok, q.NumChunks)
 	}
-	q.DBTok = make([]ring.Poly, ntok)
-	for j := range q.DBTok {
-		if q.DBTok[j], err = b.poly(qb, p.N); err != nil {
+	q.DBTok = carvePolys(ntok, p.N)
+	for _, tok := range q.DBTok {
+		if err := b.polyInto(tok, qb); err != nil {
 			return nil, err
 		}
 	}
-	nrhs, err := b.count(8) // psi word + poly length word
+	nrhs, err := b.count(4 + polyWireBytes(p.N, qb)) // psi word + poly
 	if err != nil {
 		return nil, err
 	}
 	q.RHS = make(map[int]ring.Poly, nrhs)
-	for i := 0; i < nrhs; i++ {
+	for _, rhs := range carvePolys(nrhs, p.N) {
 		psi, err := b.int()
 		if err != nil {
 			return nil, err
 		}
-		if q.RHS[psi], err = b.poly(qb, p.N); err != nil {
+		if err := b.polyInto(rhs, qb); err != nil {
 			return nil, err
 		}
+		q.RHS[psi] = rhs
 	}
 	return q, nil
 }
@@ -640,11 +736,14 @@ func DecodeUploadDB(data []byte, p bfv.Params) (string, core.EngineSpec, *core.E
 	return name, spec, db, err
 }
 
-// EncodeNamedQuery frames a query addressed to a named database.
+// EncodeNamedQuery frames a query addressed to a named database. The
+// payload size is computed up front, so the name and the query are
+// written into a single allocation.
 func EncodeNamedQuery(name string, q *core.Query, p bfv.Params) []byte {
-	var b buffer
+	qb := p.QBytes()
+	b := buffer{data: make([]byte, 0, 4+len(name)+queryWireBytes(q, qb))}
 	b.putString(name)
-	b.data = append(b.data, EncodeQuery(q, p)...)
+	b.putQuery(q, qb)
 	return b.data
 }
 

@@ -30,6 +30,12 @@ func (s *SSD) CMSearch(q *core.Query) (*core.IndexResult, error) {
 	if !q.HasTokens() {
 		return nil, fmt.Errorf("ssd: CM-search requires match tokens (core.ModeSeededMatch)")
 	}
+	if q.YBits < 1 {
+		return nil, fmt.Errorf("ssd: query has invalid length %d", q.YBits)
+	}
+	if err := core.CheckAlign(q); err != nil {
+		return nil, fmt.Errorf("ssd: %w", err)
+	}
 	if q.NumChunks != s.numChunks || q.DBBitLen != s.dbBitLen {
 		return nil, fmt.Errorf("ssd: query prepared for %d chunks/%d bits, stored %d chunks/%d bits",
 			q.NumChunks, q.DBBitLen, s.numChunks, s.dbBitLen)

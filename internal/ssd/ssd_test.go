@@ -207,6 +207,20 @@ func TestCMSearchValidatesDBShape(t *testing.T) {
 	if _, err := s.CMSearch(qWrong); err == nil {
 		t.Error("CMSearch accepted query for a different database size")
 	}
+	// Wire-supplied shape fields: a zero length (a division by zero in
+	// the phase computation) and a non-positive alignment are refused.
+	q, _ := client.PrepareQuery([]byte{0xAB, 0xCD}, 16, 1024)
+	for _, mutate := range []func(*core.Query){
+		func(q *core.Query) { q.YBits = 0 },
+		func(q *core.Query) { q.AlignBits = 0 },
+		func(q *core.Query) { q.AlignBits = -8 },
+	} {
+		bad := *q
+		mutate(&bad)
+		if _, err := s.CMSearch(&bad); err == nil {
+			t.Errorf("CMSearch accepted YBits=%d AlignBits=%d", bad.YBits, bad.AlignBits)
+		}
+	}
 }
 
 func TestStatsAccounting(t *testing.T) {

@@ -122,6 +122,16 @@ func (r *Recorder) Finish(t *Trace, tenantHist *metrics.Histogram) {
 	}
 }
 
+// ObserveStage folds one stage latency into its stage histogram without
+// a trace: the connection handler times the reply write after the
+// request's trace is already published. Zero heap allocations; a no-op
+// on an unbound recorder.
+func (r *Recorder) ObserveStage(s Stage, ns int64) {
+	if h := r.stageHists[s]; h != nil && ns > 0 {
+		h.Observe(ns)
+	}
+}
+
 // Recent returns up to max recent traces, newest first (max <= 0 means
 // the whole ring).
 func (r *Recorder) Recent(max int) []Trace { return r.recent.Snapshot(max) }

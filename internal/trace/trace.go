@@ -53,7 +53,9 @@ const (
 	StageArena
 	// StageEncode is result encoding (candidates to wire bytes).
 	StageEncode
-	// StageWrite is the socket write of the reply frame.
+	// StageWrite is the socket write of the reply frame. It happens
+	// after the trace is published, so it feeds the stage histogram
+	// (Recorder.ObserveStage) and stays zero in served traces.
 	StageWrite
 
 	// NumStages is the size of the per-trace stage array.
@@ -118,8 +120,10 @@ type Trace struct {
 	Start int64
 	// StageNS holds nanoseconds spent per stage, indexed by Stage.
 	StageNS [NumStages]int64
-	// TotalNS is the end-to-end request latency (read start to write
-	// end), stamped by Finish.
+	// TotalNS is the request latency from read start to the start of
+	// the reply write: the server publishes a trace before writing its
+	// reply, so the write itself is recorded in the write-stage
+	// histogram only (Recorder.ObserveStage).
 	TotalNS int64
 	// ChunkStreams and HomAdds are the arena work attributed to this
 	// request by the engine (a coalesced member gets its own share from
